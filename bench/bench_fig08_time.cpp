@@ -89,23 +89,6 @@ int main(int argc, char** argv) {
   speedups.Print("Fig. 8 headline — ENLD process-time speedup vs Topofilter");
   phases.Print("ENLD span tree (per workload, current threads)");
 
-  // FeatureCache traffic across the whole sweep (the same counters land in
-  // the --telemetry_out report and the serving /stats endpoint).
-  auto& registry = telemetry::MetricsRegistry::Global();
-  std::printf(
-      "feature cache: view %llu hits / %llu misses, index %llu hits / "
-      "%llu misses, %llu invalidations\n",
-      static_cast<unsigned long long>(
-          registry.GetCounter("cache/view_hits")->Value()),
-      static_cast<unsigned long long>(
-          registry.GetCounter("cache/view_misses")->Value()),
-      static_cast<unsigned long long>(
-          registry.GetCounter("cache/index_hits")->Value()),
-      static_cast<unsigned long long>(
-          registry.GetCounter("cache/index_misses")->Value()),
-      static_cast<unsigned long long>(
-          registry.GetCounter("cache/invalidations")->Value()));
-
   const std::string out_path = telemetry::TelemetryOutPath(argc, argv);
   if (!out_path.empty()) {
     const Status written =

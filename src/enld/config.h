@@ -75,14 +75,6 @@ struct EnldConfig {
   /// (Section V-H).
   bool recover_missing_labels = true;
 
-  /// Memoize the candidate-inventory model view and per-class KNN index
-  /// across fine-grained iterations and requests (enld/feature_cache.h).
-  /// Detection output is bitwise identical either way; this is purely an
-  /// ops/perf knob, so it is excluded from the snapshot config fingerprint
-  /// (store/snapshot.cc) like the other serving knobs. The ENLD_FEATURE_CACHE
-  /// env var ("0"/"off") can disable it without a config change.
-  bool use_feature_cache = true;
-
   uint64_t seed = 1234;
 
   EnldConfig() {

@@ -8,7 +8,6 @@
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/trace.h"
 #include "enld/contrastive.h"
-#include "enld/feature_cache.h"
 #include "enld/sample_sets.h"
 #include "enld/strategies.h"
 #include "knn/class_index.h"
@@ -18,6 +17,30 @@
 namespace enld {
 
 namespace {
+
+/// Model outputs over a fixed dataset: softmax probabilities, penultimate
+/// features and the argmax prediction per row.
+struct ModelView {
+  Matrix probs;
+  Matrix features;
+  std::vector<int> predicted;
+};
+
+/// Computes the view (forward pass + softmax + parallel argmax).
+ModelView ComputeModelView(MlpModel* model, const Dataset& dataset) {
+  ModelView view;
+  if (dataset.empty()) return view;
+  Matrix logits;
+  model->Forward(dataset.features, &logits, &view.features);
+  SoftmaxRows(logits, &view.probs);
+  view.predicted.resize(dataset.size());
+  ParallelFor(0, dataset.size(), 512, [&](size_t lo, size_t hi) {
+    for (size_t r = lo; r < hi; ++r) {
+      view.predicted[r] = static_cast<int>(ArgMaxRow(logits, r));
+    }
+  });
+  return view;
+}
 
 /// Materializes the training set for one iteration: the contrastive
 /// multiset (positions into `iprime`, possibly with pseudo labels) plus the
@@ -113,32 +136,6 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
   std::vector<size_t> all_iprime_rows(iprime.size());
   for (size_t i = 0; i < all_iprime_rows.size(); ++i) all_iprime_rows[i] = i;
 
-  // Cross-request memo (enld/feature_cache.h): valid only while the
-  // per-request model copy still carries the weights of the cache's
-  // current version. The first fine-tune step moves the weights off that
-  // version; everything recomputes from then on, exactly as uncached.
-  FeatureCache* cache = inputs.cache;
-  const uint64_t base_version =
-      cache != nullptr ? cache->model_version() : 0;
-  bool model_at_base = cache != nullptr;
-  const uint64_t pool_key = FingerprintPositions(iprime_positions);
-
-  // Model view over I'. On the cached path, compute (or reuse) the full
-  // candidate view once and select the I' rows out of it — bitwise
-  // identical to forwarding I' directly, because every view row depends
-  // only on the same input row (see ComputeModelView).
-  auto compute_iprime_view = [&]() -> ModelView {
-    if (model_at_base && !iprime.empty()) {
-      const ModelView* full = cache->FindView(base_version);
-      if (full == nullptr) {
-        full = cache->StoreView(base_version,
-                                ComputeModelView(model, candidate));
-      }
-      return SelectViewRows(*full, iprime_positions);
-    }
-    return ComputeModelView(model, iprime);
-  };
-
   // Sampling round: produces the contrastive multiset (positions into
   // iprime) and, for the Pseudo policy, replacement labels.
   auto resample = [&](const ModelView& view,
@@ -171,25 +168,11 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
         // pool instead of training on an empty contrastive set. The
         // condition is a deterministic function of the data, so a degraded
         // run is still reproducible.
-        // The index is shareable across requests whenever the model is
-        // still at the cached version and I' has the same positions: its
-        // other inputs (high_quality, labels) are deterministic functions
-        // of the cached view and the fixed candidate set.
-        std::shared_ptr<const ClassKnnIndex> index;
-        if (model_at_base) {
-          index = cache->FindIndex(base_version, pool_key);
-        }
         try {
-          if (index == nullptr) {
-            index = std::make_shared<const ClassKnnIndex>(
-                view.features, iprime.observed_labels, high_quality,
-                iprime.num_classes);
-            if (model_at_base) {
-              cache->StoreIndex(base_version, pool_key, index);
-            }
-          }
+          const ClassKnnIndex index(view.features, iprime.observed_labels,
+                                    high_quality, iprime.num_classes);
           *picks = ContrastiveSampling(
-              incremental, ambiguous, ambiguous_features, *index,
+              incremental, ambiguous, ambiguous_features, index,
               *inputs.conditional, config.contrastive_k,
               config.ablation.use_probability_label, rng);
         } catch (const std::exception&) {
@@ -231,7 +214,7 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
   // Initial sets (Algorithm 1, lines 5–7).
   ModelView view = [&] {
     ENLD_TRACE_SPAN("detect/inference");
-    return compute_iprime_view();
+    return ComputeModelView(model, iprime);
   }();
   Matrix d_features = incremental.empty() ? Matrix()
                                           : model->Features(incremental.features);
@@ -262,7 +245,6 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
     warm.select_best_on_validation = true;
     warm.seed = rng.NextUInt64();
     TrainModel(model, train_set, &incremental, warm);
-    model_at_base = false;
   }
 
   // Missing-label pseudo votes, accumulated over every step (Section V-H).
@@ -294,7 +276,6 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
         ENLD_TRACE_SPAN("detect/finetune");
         step_config.seed = rng.NextUInt64();
         TrainModel(model, train_set, /*validation=*/nullptr, step_config);
-        model_at_base = false;
       }
       ENLD_TRACE_SPAN("detect/voting");
       votes_cast->Add(incremental.size());
@@ -336,7 +317,7 @@ FineGrainedOutputs FineGrainedDetect(const FineGrainedInputs& inputs,
     // Sample update & re-sampling (lines 15–21).
     {
       ENLD_TRACE_SPAN("detect/inference");
-      view = compute_iprime_view();
+      view = ComputeModelView(model, iprime);
       if (!incremental.empty()) {
         d_features = model->Features(incremental.features);
       }

@@ -11,8 +11,6 @@
 
 namespace enld {
 
-class FeatureCache;
-
 /// Inputs of one fine-grained detection run (Algorithm 3).
 struct FineGrainedInputs {
   /// θ' — a fresh copy of the general model, fine-tuned in place.
@@ -23,12 +21,6 @@ struct FineGrainedInputs {
   const Dataset* candidate = nullptr;
   /// P̃(y* = j | ỹ = i), square over all classes.
   const std::vector<std::vector<double>>* conditional = nullptr;
-  /// Optional cross-request memo (enld/feature_cache.h). When set, `model`
-  /// must start with the weights of the cache's current model version; the
-  /// initial candidate view and KNN index are then served from / stored
-  /// into the cache, and any fine-tune step falls back to recomputation.
-  /// Output is bitwise identical with or without it.
-  FeatureCache* cache = nullptr;
 };
 
 /// Outputs: the clean/noisy split of D (with per-iteration trajectories and

@@ -1,8 +1,6 @@
 #include "enld/framework.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/check.h"
 #include "common/telemetry/metrics.h"
@@ -27,22 +25,10 @@ void RecordConditionalDiagonal(
   }
 }
 
-/// ENLD_FEATURE_CACHE=0 (or "off") disables the cache regardless of
-/// config, so ops and CI drills can compare cached vs uncached runs of the
-/// same binary without a config change.
-bool FeatureCacheEnvEnabled() {
-  const char* env = std::getenv("ENLD_FEATURE_CACHE");
-  if (env == nullptr) return true;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0;
-}
-
 }  // namespace
 
 EnldFramework::EnldFramework(const EnldConfig& config)
-    : config_(config),
-      rng_(config.seed),
-      feature_cache_enabled_(config.use_feature_cache &&
-                             FeatureCacheEnvEnabled()) {}
+    : config_(config), rng_(config.seed) {}
 
 void EnldFramework::Setup(const Dataset& inventory) {
   ENLD_TRACE_SPAN("setup");
@@ -58,7 +44,6 @@ void EnldFramework::Setup(const Dataset& inventory) {
   }
   RecordConditionalDiagonal(conditional_, "setup/ptilde_diag");
   selected_clean_.assign(general_.candidate_set.size(), false);
-  feature_cache_.BumpModelVersion();
 }
 
 DetectionResult EnldFramework::Detect(const Dataset& incremental) {
@@ -75,7 +60,6 @@ DetectionResult EnldFramework::Detect(const Dataset& incremental) {
   inputs.incremental = &incremental;
   inputs.candidate = &general_.candidate_set;
   inputs.conditional = &conditional_;
-  if (feature_cache_enabled_) inputs.cache = &feature_cache_;
   FineGrainedOutputs outputs = FineGrainedDetect(inputs, config_, rng_);
 
   for (size_t pos : outputs.selected_candidate) {
@@ -181,9 +165,6 @@ Status EnldFramework::RestoreState(EnldFrameworkState state) {
     selected_clean_[i] = state.selected_clean[i] != 0;
   }
   rng_.SetState(state.rng);
-  // The restored weights/candidate set need not match anything cached from
-  // the pre-restore lineage.
-  feature_cache_.BumpModelVersion();
   return Status::OK();
 }
 
@@ -237,8 +218,6 @@ Status EnldFramework::UpdateModel() {
   RecordConditionalDiagonal(conditional_, "update/ptilde_diag");
 
   selected_clean_.assign(general_.candidate_set.size(), false);
-  // New weights and a swapped candidate set: everything cached is stale.
-  feature_cache_.BumpModelVersion();
   return Status::OK();
 }
 

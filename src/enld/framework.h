@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "enld/config.h"
-#include "enld/feature_cache.h"
 #include "nn/confident_joint.h"
 #include "nn/general_model.h"
 
@@ -87,20 +86,6 @@ class EnldFramework : public NoisyLabelDetector {
 
   const EnldConfig& config() const { return config_; }
 
-  /// The cross-request feature/KNN-index cache. Its model version bumps on
-  /// Setup, UpdateModel, RestoreState and InvalidateFeatureCache; Detect
-  /// passes it to the fine-grained run when `feature_cache_enabled()`.
-  const FeatureCache& feature_cache() const { return feature_cache_; }
-
-  /// True when EnldConfig::use_feature_cache is set and the
-  /// ENLD_FEATURE_CACHE env var (read at construction) does not disable it.
-  bool feature_cache_enabled() const { return feature_cache_enabled_; }
-
-  /// Explicit ops-level invalidation: drops every cached entry and bumps
-  /// the model version. Never changes detection output — only whether the
-  /// next request recomputes its view/index.
-  void InvalidateFeatureCache() { feature_cache_.BumpModelVersion(); }
-
   /// Copies out the complete framework state for snapshotting. Requires
   /// Setup (or RestoreState) to have run.
   EnldFrameworkState CaptureState() const;
@@ -119,8 +104,6 @@ class EnldFramework : public NoisyLabelDetector {
   /// S_c membership, parallel to general_.candidate_set.
   std::vector<bool> selected_clean_;
   Rng rng_;
-  FeatureCache feature_cache_;
-  bool feature_cache_enabled_ = true;
 };
 
 }  // namespace enld

@@ -184,10 +184,6 @@ class DataPlatform {
   /// Direct access to the underlying framework (valid after Initialize;
   /// meaningful only when the built-in "enld" detector serves requests).
   EnldFramework& framework() { return framework_; }
-  /// Ops-level feature-cache invalidation (enld/feature_cache.h): drops
-  /// the framework's cached candidate view / KNN index and bumps its model
-  /// version. Safe at any time; never changes detection output.
-  void InvalidateFeatureCache() { framework_.InvalidateFeatureCache(); }
   /// The detector serving Process: the installed instance, or the built-in
   /// framework when config().detector == "enld".
   NoisyLabelDetector& active_detector() {

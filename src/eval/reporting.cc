@@ -50,7 +50,7 @@ Status WriteMethodRunsCsv(const std::vector<MethodRunResult>& runs,
   return WriteStringToFile(MethodRunsToCsv(runs), path);
 }
 
-std::string PhaseTimingsToCsv(const std::vector<MethodRunResult>& runs) {
+std::string PhaseSecondsToCsv(const std::vector<MethodRunResult>& runs) {
   std::ostringstream out;
   out << "method,noise,phase,seconds\n";
   char buffer[192];
@@ -65,9 +65,9 @@ std::string PhaseTimingsToCsv(const std::vector<MethodRunResult>& runs) {
   return out.str();
 }
 
-Status WritePhaseTimingsCsv(const std::vector<MethodRunResult>& runs,
+Status WritePhaseSecondsCsv(const std::vector<MethodRunResult>& runs,
                             const std::string& path) {
-  return WriteStringToFile(PhaseTimingsToCsv(runs), path);
+  return WriteStringToFile(PhaseSecondsToCsv(runs), path);
 }
 
 Status WriteRunTelemetry(const MethodRunResult& run,

@@ -22,10 +22,10 @@ Status WriteMethodRunsCsv(const std::vector<MethodRunResult>& runs,
 /// `method,noise,phase,seconds` rows (one per recorded phase, in recording
 /// order). Methods without phase instrumentation contribute no rows. Feeds
 /// the Fig. 8 before/after timing comparison across ENLD_THREADS settings.
-std::string PhaseTimingsToCsv(const std::vector<MethodRunResult>& runs);
+std::string PhaseSecondsToCsv(const std::vector<MethodRunResult>& runs);
 
-/// Writes PhaseTimingsToCsv(runs) to a file.
-Status WritePhaseTimingsCsv(const std::vector<MethodRunResult>& runs,
+/// Writes PhaseSecondsToCsv(runs) to a file.
+Status WritePhaseSecondsCsv(const std::vector<MethodRunResult>& runs,
                             const std::string& path);
 
 /// Writes `run.telemetry` — the machine-readable run report with span

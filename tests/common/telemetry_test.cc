@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
-#include "common/phase_timing.h"
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/report.h"
 #include "common/telemetry/trace.h"
@@ -259,9 +258,9 @@ TEST_F(TelemetryTest, SpanOnThreadWithoutParentAttachesToRoot) {
 }
 
 // ---------------------------------------------------------------------------
-// PhaseTimings compatibility shim.
+// Flat by-name view of the span tree.
 
-TEST_F(TelemetryTest, PhaseTimingsFlattensByNameAcrossPaths) {
+TEST_F(TelemetryTest, FlattenByNameMergesAcrossPaths) {
   {
     ENLD_TRACE_SPAN("detect");
     {
@@ -272,49 +271,41 @@ TEST_F(TelemetryTest, PhaseTimingsFlattensByNameAcrossPaths) {
       ENLD_TRACE_SPAN("shared");
     }
   }
-  PhaseTimings::Global().Add("flat_phase", 0.25);
-  const auto snapshot = PhaseTimings::Global().Snapshot();
-  size_t shared_entries = 0;
-  bool saw_flat = false;
-  for (const auto& [name, seconds] : snapshot) {
-    if (name == "shared") ++shared_entries;
-    if (name == "flat_phase") {
-      saw_flat = true;
-      EXPECT_DOUBLE_EQ(seconds, 0.25);
-    }
-  }
-  // One entry per *name*, even though "shared" occurs at two tree paths.
-  EXPECT_EQ(shared_entries, 1u);
-  EXPECT_TRUE(saw_flat);
+  const auto flat = TraceTree::Global().FlattenByName();
+  std::vector<std::string> names;
+  for (const auto& entry : flat) names.push_back(entry.first);
+  // One entry per *name*, even though "shared" occurs at two tree paths,
+  // in first-seen pre-order.
+  EXPECT_EQ(names, (std::vector<std::string>{"detect", "shared",
+                                             "detect/iteration"}));
 }
 
-// Regression test: concurrent first use of one phase name used to create
-// duplicate entries in the flat registry. The tree shim find-or-creates
-// under the lock, so exactly one entry must survive with the full sum.
-TEST_F(TelemetryTest, PhaseTimingsConcurrentFirstUseDoesNotDuplicate) {
+// Regression test: concurrent first use of one span name used to create
+// duplicate entries in the old flat registry. Spans find-or-create their
+// node under the tree lock, so parentless spans opened on many threads at
+// once must land on exactly one root-level entry.
+TEST_F(TelemetryTest, ConcurrentFirstUseDoesNotDuplicate) {
   constexpr int kThreads = 8;
-  constexpr int kAddsPerThread = 250;
+  constexpr int kSpansPerThread = 250;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([] {
-      for (int i = 0; i < kAddsPerThread; ++i) {
-        PhaseTimings::Global().Add("racy_phase", 0.001);
+      for (int i = 0; i < kSpansPerThread; ++i) {
+        ScopedSpan span("racy_phase");
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  const auto snapshot = PhaseTimings::Global().Snapshot();
   size_t entries = 0;
-  double total = 0.0;
-  for (const auto& [name, seconds] : snapshot) {
-    if (name == "racy_phase") {
-      ++entries;
-      total = seconds;
-    }
+  for (const auto& entry : TraceTree::Global().FlattenByName()) {
+    if (entry.first == "racy_phase") ++entries;
   }
   EXPECT_EQ(entries, 1u);
-  EXPECT_NEAR(total, kThreads * kAddsPerThread * 0.001, 1e-9);
+  const SpanSnapshot root = TraceTree::Global().Snapshot();
+  ASSERT_NE(root.Child("racy_phase"), nullptr);
+  EXPECT_EQ(root.Child("racy_phase")->count,
+            static_cast<uint64_t>(kThreads * kSpansPerThread));
 }
 
 // ---------------------------------------------------------------------------
