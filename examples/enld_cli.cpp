@@ -8,8 +8,10 @@
 //       sweep_points=64
 //   ./build/examples/enld_cli detect --list_detectors
 //
-// Detection flags (`detect` subcommand, or flag-only invocation with the
-// legacy --method= spelling):
+// The first argument names the subcommand; anything else (including a
+// bare flag) is an "unknown subcommand" error with exit code 1.
+//
+// Detection flags (`detect` subcommand):
 //   --dataset=emnist|cifar100|tiny       task profile (default cifar100)
 //   --noise=<0..1>                       pair-noise rate (default 0.2)
 //   --detector=<registry key>            detector to run (default enld);
@@ -215,8 +217,7 @@ int RunHelp() {
       "      [--replay_out=<json>]\n"
       "  enld_cli stats <host:port> [--watch=<s>] [--shutdown]\n"
       "\n"
-      "Flag-only invocations run detection too (legacy --method=<key>\n"
-      "spelling). Full flag reference: header comment of this file and\n"
+      "Full flag reference: header comment of this file and "
       "docs/DETECTORS.md.\n"
       "\n");
   PrintDetectorList(stdout);
@@ -847,9 +848,8 @@ int RunStats(int argc, char** argv) {
   return 0;
 }
 
-/// `enld_cli detect` (also the flag-only invocation): run one registry
-/// detector over a task's stream and report per-dataset and aggregate
-/// quality.
+/// `enld_cli detect`: run one registry detector over a task's stream and
+/// report per-dataset and aggregate quality.
 int RunDetect(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--list_detectors") == 0) {
@@ -862,9 +862,7 @@ int RunDetect(int argc, char** argv) {
       FlagValue(argc, argv, "dataset", "cifar100");
   const double noise =
       std::atof(FlagValue(argc, argv, "noise", "0.2").c_str());
-  // --detector= is the registry spelling; --method= the legacy one.
-  const std::string method = FlagValue(
-      argc, argv, "detector", FlagValue(argc, argv, "method", "enld"));
+  const std::string detector_key = FlagValue(argc, argv, "detector", "enld");
   const std::string export_path = FlagValue(argc, argv, "export", "");
   detect::DetectorOptions detector_options;
   if (!CollectDetectorOptions(argc, argv, &detector_options)) return 1;
@@ -898,7 +896,7 @@ int RunDetect(int argc, char** argv) {
   }
 
   StatusOr<std::unique_ptr<NoisyLabelDetector>> created =
-      detect::CreateDetector(method, detector_options,
+      detect::CreateDetector(detector_key, detector_options,
                              PaperDetectorContext(dataset));
   if (!created.ok()) {
     // Typed registry errors: unknown detector, unknown option key,
@@ -953,24 +951,20 @@ int main(int argc, char** argv) {
       return RunHelp();
     }
   }
-  // Subcommand dispatch: a bare first argument selects a workflow;
-  // flag-style arguments fall through to the detection driver.
-  if (argc > 1 && argv[1][0] != '-') {
-    const std::string subcommand = argv[1];
-    if (subcommand == "detect") return RunDetect(argc, argv);
-    if (subcommand == "ingest") return RunIngest(argc, argv);
-    if (subcommand == "snapshot") return RunSnapshot(argc, argv);
-    if (subcommand == "resume") return RunResume(argc, argv);
-    if (subcommand == "validate") return RunValidate(argc, argv);
-    if (subcommand == "repair") return RunRepair(argc, argv);
-    if (subcommand == "replay") return RunReplay(argc, argv);
-    if (subcommand == "stats") return RunStats(argc, argv);
-    if (subcommand == "help") return RunHelp();
-    std::fprintf(stderr,
-                 "unknown subcommand '%s' (expected detect, ingest, "
-                 "snapshot, resume, validate, repair, replay or stats)\n",
-                 subcommand.c_str());
-    return 1;
-  }
-  return RunDetect(argc, argv);
+  // Subcommand dispatch: the first argument selects a workflow.
+  const std::string subcommand = argc > 1 ? argv[1] : "";
+  if (subcommand == "detect") return RunDetect(argc, argv);
+  if (subcommand == "ingest") return RunIngest(argc, argv);
+  if (subcommand == "snapshot") return RunSnapshot(argc, argv);
+  if (subcommand == "resume") return RunResume(argc, argv);
+  if (subcommand == "validate") return RunValidate(argc, argv);
+  if (subcommand == "repair") return RunRepair(argc, argv);
+  if (subcommand == "replay") return RunReplay(argc, argv);
+  if (subcommand == "stats") return RunStats(argc, argv);
+  if (subcommand == "help") return RunHelp();
+  std::fprintf(stderr,
+               "unknown subcommand '%s' (expected detect, ingest, "
+               "snapshot, resume, validate, repair, replay or stats)\n",
+               subcommand.c_str());
+  return 1;
 }

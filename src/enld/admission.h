@@ -19,7 +19,7 @@ namespace enld {
 /// quarantines the bad ones with a typed reason, and lets the rest proceed
 /// through detection.
 
-/// Why a sample was refused admission. Values are part of the snapshot v2
+/// Why a sample was refused admission. Values are part of the snapshot state
 /// on-disk format — append only, never renumber.
 enum class RejectionReason : uint32_t {
   kNonFiniteFeature = 0,        ///< a feature value is NaN or +/-Inf

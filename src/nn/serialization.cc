@@ -11,12 +11,10 @@ namespace enld {
 
 namespace {
 
-/// Legacy format: no byte-order tag, documented as little-endian.
-constexpr char kMagicV1[8] = {'E', 'N', 'L', 'D', 'M', 'D', 'L', '1'};
-/// Current format: a host-order tag follows the magic, so a reader on a
-/// machine with different endianness sees the byte-swapped value and
-/// rejects the file instead of loading garbage weights.
-constexpr char kMagicV2[8] = {'E', 'N', 'L', 'D', 'M', 'D', 'L', '2'};
+/// A host-order tag follows the magic, so a reader on a machine with
+/// different endianness sees the byte-swapped value and rejects the file
+/// instead of loading garbage weights.
+constexpr char kMagic[8] = {'E', 'N', 'L', 'D', 'M', 'D', 'L', '2'};
 constexpr uint32_t kByteOrderTag = 0x01020304u;
 
 /// RAII file handle.
@@ -66,8 +64,7 @@ Status SaveModelFile(const ModelFile& file, const std::string& path) {
     return Status::NotFound("cannot open for writing: " + path);
   }
 
-  if (std::fwrite(kMagicV2, 1, sizeof(kMagicV2), out.get()) !=
-      sizeof(kMagicV2)) {
+  if (std::fwrite(kMagic, 1, sizeof(kMagic), out.get()) != sizeof(kMagic)) {
     return Status::Internal("short write of header");
   }
   std::fwrite(&kByteOrderTag, sizeof(kByteOrderTag), 1, out.get());
@@ -99,25 +96,22 @@ StatusOr<ModelFile> LoadModelFile(const std::string& path) {
     return Status::NotFound("cannot open for reading: " + path);
   }
 
-  char magic[sizeof(kMagicV2)];
+  char magic[sizeof(kMagic)];
   if (std::fread(magic, 1, sizeof(magic), file.get()) != sizeof(magic)) {
     return Status::InvalidArgument("not an ENLD model file: " + path);
   }
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-    uint32_t tag = 0;
-    if (std::fread(&tag, sizeof(tag), 1, file.get()) != 1) {
-      return Status::InvalidArgument("truncated byte-order tag");
-    }
-    if (tag != kByteOrderTag) {
-      return Status::InvalidArgument(
-          "model file byte order does not match this machine "
-          "(written on a foreign-endian host?)");
-    }
-  } else if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) != 0) {
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("not an ENLD model file: " + path);
   }
-  // Legacy v1 files carry no tag and were always written little-endian in
-  // practice; they keep loading unchanged.
+  uint32_t tag = 0;
+  if (std::fread(&tag, sizeof(tag), 1, file.get()) != 1) {
+    return Status::InvalidArgument("truncated byte-order tag");
+  }
+  if (tag != kByteOrderTag) {
+    return Status::InvalidArgument(
+        "model file byte order does not match this machine "
+        "(written on a foreign-endian host?)");
+  }
 
   uint64_t num_dims = 0;
   if (std::fread(&num_dims, sizeof(num_dims), 1, file.get()) != 1 ||

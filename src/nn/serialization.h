@@ -20,7 +20,7 @@ struct ModelFile {
 };
 
 /// Writes the model architecture and weights to a binary file. The
-/// current format ("ENLDMDL2" magic) carries an explicit byte-order tag:
+/// format ("ENLDMDL2" magic) carries an explicit byte-order tag:
 /// payloads are written in host order and the tag records what that was,
 /// so a file from a foreign-endian machine is rejected with
 /// InvalidArgument instead of being silently misread. Overwrites an
@@ -28,12 +28,10 @@ struct ModelFile {
 Status SaveModel(const MlpModel& model, const std::string& path);
 Status SaveModelFile(const ModelFile& file, const std::string& path);
 
-/// Reads a model written by SaveModel / SaveModelFile. Both the current
-/// "ENLDMDL2" format and the legacy tag-less "ENLDMDL1" format (assumed
-/// little-endian, as documented when it was introduced) are accepted.
-/// Fails with InvalidArgument on format problems — including a byte-order
-/// tag that does not match this machine — and NotFound when the file
-/// cannot be opened.
+/// Reads a model written by SaveModel / SaveModelFile. Only the
+/// "ENLDMDL2" format is accepted: any other magic (including the tag-less
+/// version-1 one) or a byte-order tag that does not match this machine
+/// fails with InvalidArgument. NotFound when the file cannot be opened.
 StatusOr<std::unique_ptr<MlpModel>> LoadModel(const std::string& path);
 StatusOr<ModelFile> LoadModelFile(const std::string& path);
 

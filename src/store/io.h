@@ -24,6 +24,11 @@ namespace store {
 /// ("store/bytes_read", "store/bytes_written", "store/crc_failures"), and
 /// the counts are independent of ENLD_THREADS.
 
+/// Byte-order tag every store binary header carries right after its magic.
+/// Written little-endian, so any other value read back means a foreign-endian
+/// or corrupt file.
+inline constexpr uint32_t kByteOrderTag = 0x01020304u;
+
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected), matching
 /// Python's zlib.crc32 so tools/check_snapshot.py can re-verify files.
 uint32_t Crc32(const void* data, size_t size);

@@ -117,11 +117,7 @@ StatusOr<QuarantineFile> ReadQuarantineJson(const std::string& path) {
     }
     file.records.push_back(std::move(record));
   }
-  const JsonValue* truncated = doc.Find("truncated");
-  file.truncated =
-      truncated != nullptr && truncated->kind() == JsonValue::Kind::kBool
-          ? truncated->AsBool()
-          : file.total > file.records.size();
+  file.truncated = file.total > file.records.size();
   return file;
 }
 

@@ -48,8 +48,8 @@ struct QuarantineFileRecord {
 struct QuarantineFile {
   uint64_t total = 0;
   uint64_t capacity = 0;
-  /// True when the writer's capacity cap dropped records. Absent in files
-  /// from older builds; then derived as total > records.size().
+  /// True when the writer's capacity cap dropped records: total >
+  /// records.size(), the same definition as QuarantineLog::truncated().
   bool truncated = false;
   std::vector<QuarantineFileRecord> records;
 };

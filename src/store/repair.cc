@@ -23,9 +23,6 @@ namespace store {
 
 namespace {
 
-constexpr char kShardMagic[8] = {'E', 'N', 'L', 'D', 'S', 'H', 'D', '1'};
-constexpr uint32_t kEndianTag = 0x01020304u;
-
 /// Re-parses a damaged shard buffer leniently: the header and the four
 /// data sections (features, observed, true, ids) must each individually
 /// pass their CRC and match the header geometry; the redundant bitmap
@@ -46,7 +43,8 @@ StatusOr<Dataset> RebuildShardFromSections(const std::string& data) {
       !reader.ReadU32(&classes) || !reader.ReadU32(&sections)) {
     return Status::InvalidArgument("shard header truncated");
   }
-  if (endian != kEndianTag || version != 1 || sections != 5) {
+  if (endian != kByteOrderTag || version != kShardVersion ||
+      sections != kShardSectionCount) {
     return Status::InvalidArgument("shard header damaged");
   }
 

@@ -19,10 +19,6 @@ namespace store {
 
 namespace {
 
-constexpr char kShardMagic[8] = {'E', 'N', 'L', 'D', 'S', 'H', 'D', '1'};
-constexpr char kStateMagic[8] = {'E', 'N', 'L', 'D', 'S', 'N', 'P', '1'};
-constexpr uint32_t kEndianTag = 0x01020304u;
-
 /// Collects findings for one scrub pass; binds the report plus the
 /// current snapshot context so walk helpers stay small.
 class Scrubber {
@@ -103,39 +99,40 @@ class Scrubber {
   /// Structural walk of a state.bin buffer: header then per-section CRCs.
   void WalkState(uint64_t seq, const std::string& rel,
                  const std::string& data) {
-    if (data.size() < sizeof(kStateMagic) ||
-        std::memcmp(data.data(), kStateMagic, sizeof(kStateMagic)) != 0) {
+    if (data.size() < sizeof(kSnapshotStateMagic) ||
+        std::memcmp(data.data(), kSnapshotStateMagic,
+                    sizeof(kSnapshotStateMagic)) != 0) {
       Add(seq, rel, "header", "bad_magic",
           "not an ENLD snapshot state file");
       return;
     }
     BinaryReader reader(data);
-    reader.Skip(sizeof(kStateMagic));
+    reader.Skip(sizeof(kSnapshotStateMagic));
     uint32_t endian = 0, version = 0, sections = 0;
     if (!reader.ReadU32(&endian) || !reader.ReadU32(&version) ||
         !reader.ReadU32(&sections)) {
       Add(seq, rel, "header", "truncated", "truncated state header");
       return;
     }
-    if (endian != kEndianTag) {
+    if (endian != kByteOrderTag) {
       Add(seq, rel, "header", "mismatch", "byte-order tag mismatch");
       return;
     }
-    if (version < 1 || version > 3) {
+    if (version != kSnapshotStateVersion) {
       Add(seq, rel, "header", "malformed",
           "unsupported state version " + std::to_string(version));
       return;
     }
-    const uint32_t expected = version == 1 ? 5 : 6;
-    if (sections != expected) {
+    if (sections != kSnapshotStateSectionCount) {
       Add(seq, rel, "header", "mismatch",
           "section count " + std::to_string(sections) + " != " +
-              std::to_string(expected));
+              std::to_string(kSnapshotStateSectionCount));
       return;
     }
-    std::vector<uint32_t> ids;
-    for (uint32_t id = 1; id <= expected; ++id) ids.push_back(id);
-    WalkSections(seq, rel, data, reader.offset(), ids);
+    WalkSections(seq, rel, data, reader.offset(),
+                 {kSnapshotSectionMeta, kSnapshotSectionStats,
+                  kSnapshotSectionRng, kSnapshotSectionConditional,
+                  kSnapshotSectionSelected, kSnapshotSectionAdmission});
   }
 
   /// Structural walk of a shard buffer. `expect_rows` < 0 skips the
@@ -157,11 +154,11 @@ class Scrubber {
       Add(seq, rel, "header", "truncated", "truncated shard header");
       return;
     }
-    if (endian != kEndianTag) {
+    if (endian != kByteOrderTag) {
       Add(seq, rel, "header", "mismatch", "byte-order tag mismatch");
       return;
     }
-    if (version != 1 || sections != 5) {
+    if (version != kShardVersion || sections != kShardSectionCount) {
       Add(seq, rel, "header", "malformed",
           "unsupported shard version/section count");
       return;

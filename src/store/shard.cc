@@ -10,15 +10,6 @@
 namespace enld {
 namespace store {
 
-namespace {
-
-constexpr char kShardMagic[8] = {'E', 'N', 'L', 'D', 'S', 'H', 'D', '1'};
-constexpr uint32_t kEndianTag = 0x01020304u;
-constexpr uint32_t kShardVersion = 1;
-constexpr uint32_t kSectionCount = 5;
-
-}  // namespace
-
 std::string EncodeDatasetShard(const Dataset& dataset) {
   const size_t rows = dataset.size();
   const size_t dim = dataset.dim();
@@ -26,12 +17,12 @@ std::string EncodeDatasetShard(const Dataset& dataset) {
   std::string out;
   out.reserve(64 + rows * (dim * 4 + 17));
   out.append(kShardMagic, sizeof(kShardMagic));
-  PutU32(&out, kEndianTag);
+  PutU32(&out, kByteOrderTag);
   PutU32(&out, kShardVersion);
   PutU64(&out, rows);
   PutU64(&out, dim);
   PutU32(&out, static_cast<uint32_t>(dataset.num_classes));
-  PutU32(&out, kSectionCount);
+  PutU32(&out, kShardSectionCount);
 
   std::string payload;
   payload.reserve(rows * dim * 4);
@@ -76,7 +67,7 @@ StatusOr<Dataset> DecodeDatasetShard(const std::string& data) {
       !reader.ReadU32(&classes) || !reader.ReadU32(&sections)) {
     return Status::InvalidArgument("truncated shard header");
   }
-  if (endian != 0x01020304u) {
+  if (endian != kByteOrderTag) {
     return Status::InvalidArgument(
         "shard byte-order tag mismatch (foreign-endian or corrupt file)");
   }
@@ -84,7 +75,7 @@ StatusOr<Dataset> DecodeDatasetShard(const std::string& data) {
     return Status::InvalidArgument("unsupported shard version " +
                                    std::to_string(version));
   }
-  if (sections != kSectionCount) {
+  if (sections != kShardSectionCount) {
     return Status::InvalidArgument("unexpected shard section count");
   }
   // Cheap sanity bound before allocating: the sections cannot be larger

@@ -15,7 +15,7 @@ namespace store {
 ///
 /// A shard is one self-describing file:
 ///
-///   header:  magic "ENLDSHD1", little-endian tag 0x01020304, version,
+///   header:  magic "ENLDSHD1", byte-order tag (store/io.h), version,
 ///            num_rows, dim, num_classes, section count
 ///   section: id, payload byte length, CRC32(payload), payload
 ///
@@ -30,6 +30,13 @@ namespace store {
 /// structural corruption — bad magic, foreign byte order, unknown
 /// version, truncation, CRC mismatch, out-of-range labels, inconsistent
 /// columns. CRC mismatches additionally increment "store/crc_failures".
+
+/// Header constants, shared with the scrubber and repairer. A reader
+/// accepts exactly kShardVersion with kShardSectionCount sections.
+inline constexpr char kShardMagic[8] = {'E', 'N', 'L', 'D',
+                                        'S', 'H', 'D', '1'};
+inline constexpr uint32_t kShardVersion = 1;
+inline constexpr uint32_t kShardSectionCount = 5;
 
 /// Section ids, also used by tools/check_snapshot.py.
 inline constexpr uint32_t kShardSectionFeatures = 1;

@@ -24,17 +24,6 @@ namespace store {
 
 namespace {
 
-constexpr char kSnapshotMagic[8] = {'E', 'N', 'L', 'D', 'S', 'N', 'P', '1'};
-constexpr uint32_t kEndianTag = 0x01020304u;
-constexpr uint32_t kSnapshotVersion = 3;
-constexpr uint32_t kSectionCount = 6;
-// v1 files (sections 1-5, no admission data) still load; their admission
-// counters and update_pending default to zero/false. v2 files lack the
-// deadline-exceeded counter at the end of the admission section; it
-// defaults to zero.
-constexpr uint32_t kLegacyVersion1 = 1;
-constexpr uint32_t kLegacySectionCount1 = 5;
-constexpr uint32_t kLegacyVersion2 = 2;
 constexpr char kSnapshotSchema[] = "enld-snapshot-manifest-v1";
 // Short aliases of the exported names in snapshot.h.
 constexpr const char* kCurrentFile = kSnapshotCurrentFile;
@@ -93,10 +82,10 @@ telemetry::Counter* CrcFailures() {
 
 std::string EncodeSnapshotState(const SnapshotContents& contents) {
   std::string out;
-  out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  PutU32(&out, kEndianTag);
-  PutU32(&out, kSnapshotVersion);
-  PutU32(&out, kSectionCount);
+  out.append(kSnapshotStateMagic, sizeof(kSnapshotStateMagic));
+  PutU32(&out, kByteOrderTag);
+  PutU32(&out, kSnapshotStateVersion);
+  PutU32(&out, kSnapshotStateSectionCount);
 
   std::string payload;
   PutU64(&payload, contents.seq);
@@ -149,7 +138,7 @@ std::string EncodeSnapshotState(const SnapshotContents& contents) {
     PutU64(&payload, contents.stats.quarantined_by_reason[i]);
   }
   PutU8(&payload, contents.update_pending ? 1 : 0);
-  PutU64(&payload, contents.stats.requests_deadline_exceeded);  // v3
+  PutU64(&payload, contents.stats.requests_deadline_exceeded);
   PutSection(&out, kSnapshotSectionAdmission, payload);
   return out;
 }
@@ -158,9 +147,9 @@ Status DecodeSnapshotState(const std::string& data,
                            SnapshotContents* contents) {
   BinaryReader reader(data);
   std::string magic;
-  if (!reader.ReadBytes(sizeof(kSnapshotMagic), &magic) ||
-      std::memcmp(magic.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
-          0) {
+  if (!reader.ReadBytes(sizeof(kSnapshotStateMagic), &magic) ||
+      std::memcmp(magic.data(), kSnapshotStateMagic,
+                  sizeof(kSnapshotStateMagic)) != 0) {
     return Status::InvalidArgument("not an ENLD snapshot state file");
   }
   uint32_t endian = 0, version = 0, sections = 0;
@@ -168,18 +157,15 @@ Status DecodeSnapshotState(const std::string& data,
       !reader.ReadU32(&sections)) {
     return Status::InvalidArgument("truncated snapshot state header");
   }
-  if (endian != kEndianTag) {
+  if (endian != kByteOrderTag) {
     return Status::InvalidArgument(
         "snapshot byte-order tag mismatch (foreign-endian or corrupt file)");
   }
-  if (version != kSnapshotVersion && version != kLegacyVersion1 &&
-      version != kLegacyVersion2) {
+  if (version != kSnapshotStateVersion) {
     return Status::InvalidArgument("unsupported snapshot version " +
                                    std::to_string(version));
   }
-  const uint32_t expected_sections =
-      version == kLegacyVersion1 ? kLegacySectionCount1 : kSectionCount;
-  if (sections != expected_sections) {
+  if (sections != kSnapshotStateSectionCount) {
     return Status::InvalidArgument("unexpected snapshot section count");
   }
 
@@ -263,9 +249,9 @@ Status DecodeSnapshotState(const std::string& data,
     }
   }
 
-  if (version != kLegacyVersion1) {
-    ENLD_RETURN_IF_ERROR(
-        ReadSection(&reader, kSnapshotSectionAdmission, &payload));
+  ENLD_RETURN_IF_ERROR(
+      ReadSection(&reader, kSnapshotSectionAdmission, &payload));
+  {
     BinaryReader admission(payload);
     uint32_t reasons = 0;
     uint8_t pending = 0;
@@ -282,14 +268,9 @@ Status DecodeSnapshotState(const std::string& data,
             "malformed snapshot admission section");
       }
     }
-    if (!admission.ReadU8(&pending) || pending > 1) {
-      return Status::InvalidArgument("malformed snapshot admission section");
-    }
-    if (version >= kSnapshotVersion &&
-        !admission.ReadU64(&contents->stats.requests_deadline_exceeded)) {
-      return Status::InvalidArgument("malformed snapshot admission section");
-    }
-    if (admission.remaining() != 0) {
+    if (!admission.ReadU8(&pending) || pending > 1 ||
+        !admission.ReadU64(&contents->stats.requests_deadline_exceeded) ||
+        admission.remaining() != 0) {
       return Status::InvalidArgument("malformed snapshot admission section");
     }
     contents->update_pending = pending == 1;

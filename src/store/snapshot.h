@@ -37,10 +37,16 @@ namespace store {
 /// sections). Config mismatches surface as FailedPrecondition from
 /// DataPlatform::RestoreFromSnapshot.
 
-/// Section ids inside state.bin (mirrored by tools/check_snapshot.py).
-/// Version history: v1 wrote sections 1–5; v2 appends the admission
-/// section; v3 (this build) appends the deadline-exceeded counter to the
-/// admission section's payload. Loads accept all three.
+/// state.bin header constants, shared with the scrubber and mirrored by
+/// tools/check_snapshot.py. A reader accepts exactly kSnapshotStateVersion
+/// with kSnapshotStateSectionCount sections; any other version is
+/// InvalidArgument.
+inline constexpr char kSnapshotStateMagic[8] = {'E', 'N', 'L', 'D',
+                                                'S', 'N', 'P', '1'};
+inline constexpr uint32_t kSnapshotStateVersion = 3;
+inline constexpr uint32_t kSnapshotStateSectionCount = 6;
+
+/// Section ids inside state.bin, in file order.
 inline constexpr uint32_t kSnapshotSectionMeta = 1;
 inline constexpr uint32_t kSnapshotSectionStats = 2;
 inline constexpr uint32_t kSnapshotSectionRng = 3;
@@ -72,7 +78,7 @@ struct SnapshotContents {
   uint64_t inventory_dim = 0;
   int inventory_classes = 0;
   /// Whether a due auto-update was still deferred when the snapshot was
-  /// taken (snapshot v2; defaults to false when restoring a v1 snapshot).
+  /// taken.
   bool update_pending = false;
 };
 

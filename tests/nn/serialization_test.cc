@@ -119,30 +119,25 @@ TEST(ModelSerializationTest, RejectsForeignEndianFile) {
   std::remove(path.c_str());
 }
 
-TEST(ModelSerializationTest, LegacyTaglessFormatStillLoads) {
-  // Hand-write a v1 file (no byte-order tag) and check the current reader
-  // accepts it: {2, 4, 3} needs 2*4+4 + 4*3+3 = 27 weights.
-  const std::string path = TempPath("legacy_v1.enld");
+TEST(ModelSerializationTest, TaglessV1FileIsRejected) {
+  // A well-formed version-1 file (no byte-order tag) for a {2, 4, 3} model
+  // with its 2*4+4 + 4*3+3 = 27 weights. The reader accepts only the
+  // current format, so the old magic alone makes it InvalidArgument.
+  const std::string path = TempPath("tagless_v1.enld");
   FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fwrite("ENLDMDL1", 1, 8, f);
   const uint64_t dims[] = {3, 2, 4, 3};  // count, then the dims.
-  std::fwrite(&dims[0], sizeof(uint64_t), 1, f);
-  ASSERT_EQ(dims[0] + 1, 4u);
-  std::fwrite(&dims[1], sizeof(uint64_t), 3, f);
+  std::fwrite(dims, sizeof(uint64_t), 4, f);
   const uint64_t count = 2 * 4 + 4 + 4 * 3 + 3;
   std::fwrite(&count, sizeof(count), 1, f);
-  std::vector<float> weights(count);
-  for (size_t i = 0; i < weights.size(); ++i) {
-    weights[i] = static_cast<float>(i) * 0.25f;
-  }
+  const std::vector<float> weights(count, 0.25f);
   std::fwrite(weights.data(), sizeof(float), weights.size(), f);
   std::fclose(f);
 
   const auto loaded = LoadModelFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->dims, (std::vector<size_t>{2, 4, 3}));
-  EXPECT_EQ(loaded->weights, weights);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 

@@ -31,10 +31,10 @@ FrameHeader RequestHeader() {
   return header;
 }
 
-/// Rewrites the header CRC of an encoded v2 frame so deliberate field
-/// edits still pass the checksum — the way to reach the post-CRC
-/// validation (version / type / length checks) in tests. The v2 header
-/// CRC covers [0, 46) and lives at [46, 50).
+/// Rewrites the header CRC of an encoded frame so deliberate field edits
+/// still pass the checksum — the way to reach the post-CRC validation
+/// (version / type / length checks) in tests. The header CRC covers
+/// [0, 46) and lives at [46, 50).
 void FixHeaderCrc(std::string* frame) {
   const uint32_t crc = store::Crc32(frame->data(), 46);
   std::string patched;
@@ -52,10 +52,10 @@ TEST(FrameCodec, RoundTripsHeaderAndPayload) {
   const std::string payload = "forty-two bytes of payload, give or take";
   const std::string encoded = EncodeFrame(RequestHeader(), payload);
   ASSERT_EQ(encoded.size(), kFrameHeaderBytes + payload.size());
+  EXPECT_EQ(static_cast<uint8_t>(encoded[12]), kFrameVersion);
 
   const StatusOr<Frame> decoded = DecodeFrame(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->header.version, kFrameVersion);
   EXPECT_EQ(decoded->header.type, FrameType::kDetectRequest);
   EXPECT_EQ(decoded->header.sequence, 0x0123456789abcdefull);
   EXPECT_EQ(decoded->header.request_id, 0xfeedfacecafef00dull);
@@ -108,14 +108,17 @@ TEST(FrameCodec, FlippedHeaderBitIsRetryableNotProtocolError) {
 }
 
 TEST(FrameCodec, UnsupportedVersionIsProtocolViolation) {
-  // Version 3 doesn't exist yet. The decoder assumes the current (v2)
-  // layout for any non-v1 version byte, so with the CRC repaired the
-  // failure is the post-CRC version check — a protocol violation.
-  std::string encoded = EncodeFrame(RequestHeader(), "x");
-  encoded[12] = 3;
-  FixHeaderCrc(&encoded);
-  EXPECT_EQ(DecodeFrameHeader(encoded).status().code(),
-            StatusCode::kInvalidArgument);
+  // Only version 2 decodes. With the CRC repaired, any other version
+  // byte — the retired v1, a never-written 0, a future 3 — fails the
+  // post-CRC version check: a protocol violation, not wire damage.
+  for (const uint8_t version : {0, 1, 3}) {
+    std::string encoded = EncodeFrame(RequestHeader(), "x");
+    encoded[12] = static_cast<char>(version);
+    FixHeaderCrc(&encoded);
+    EXPECT_EQ(DecodeFrameHeader(encoded).status().code(),
+              StatusCode::kInvalidArgument)
+        << "version " << int{version};
+  }
 }
 
 TEST(FrameCodec, UnknownFrameTypeIsProtocolViolation) {
@@ -157,43 +160,6 @@ TEST(FrameCodec, TrailingBytesAreProtocolViolation) {
   encoded.push_back('\0');
   EXPECT_EQ(DecodeFrame(encoded).status().code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(FrameCodec, V1FrameStillDecodes) {
-  // Backward compatibility: a frame from a pre-request-id (v1) peer must
-  // decode on a v2 endpoint with every shared field intact. The v1 header
-  // has no request-id slot, so the decoded id is 0 (= untagged).
-  const std::string payload = "payload from a v1 peer";
-  const std::string encoded = EncodeFrameV1(RequestHeader(), payload);
-  ASSERT_EQ(encoded.size(), kFrameHeaderBytesV1 + payload.size());
-
-  const StatusOr<Frame> decoded = DecodeFrame(encoded);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->header.version, kFrameVersionV1);
-  EXPECT_EQ(decoded->header.request_id, 0u);
-  EXPECT_EQ(decoded->header.type, FrameType::kDetectRequest);
-  EXPECT_EQ(decoded->header.sequence, 0x0123456789abcdefull);
-  EXPECT_EQ(decoded->header.deadline_seconds, 2.5);
-  EXPECT_EQ(decoded->payload, payload);
-}
-
-TEST(FrameCodec, V1TruncatedPrefixIsRetryable) {
-  const std::string encoded = EncodeFrameV1(RequestHeader(), "x");
-  EXPECT_EQ(DecodeFrameHeader(encoded.substr(0, kFrameHeaderBytesV1 - 1))
-                .status()
-                .code(),
-            StatusCode::kUnavailable);
-}
-
-TEST(FrameCodec, V1FlippedHeaderBitIsRetryable) {
-  // The v1 header CRC covers its own (shorter) span, so wire damage to a
-  // v1 frame still reads as retryable on a v2 endpoint.
-  std::string encoded = EncodeFrameV1(RequestHeader(), "x");
-  encoded[15] ^= 0x08;  // a sequence byte in the v1 layout
-  const uint64_t failures_before = CrcFailures();
-  EXPECT_EQ(DecodeFrameHeader(encoded).status().code(),
-            StatusCode::kUnavailable);
-  EXPECT_EQ(CrcFailures(), failures_before + 1);
 }
 
 TEST(FrameCodec, UntaggedV2FrameDecodesWithZeroRequestId) {

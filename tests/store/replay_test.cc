@@ -80,10 +80,10 @@ TEST(QuarantineFileTest, UntruncatedLogWritesFalseMarker) {
   fs::remove(path);
 }
 
-TEST(QuarantineFileTest, LegacyFileWithoutMarkerDerivesTruncation) {
-  // Files from builds predating the marker carry no "truncated" key; the
-  // reader falls back to total > recorded.
-  const std::string path = TempPath("quarantine_legacy.json");
+TEST(QuarantineFileTest, TruncationDerivesFromTotalAndRecords) {
+  // The reader derives truncation as total > records, the writer's own
+  // definition, so it needs no "truncated" key to report it.
+  const std::string path = TempPath("quarantine_derived.json");
   ASSERT_TRUE(store::WriteFileDurable(
                   path,
                   "{\"schema\": \"enld-quarantine-v1\", \"total\": 4, "

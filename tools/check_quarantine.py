@@ -13,9 +13,10 @@ written by WriteQuarantineJson / `enld_cli validate --quarantine_out` /
   * every record carries a known reason name, a non-empty human-readable
     detail, and integer request/row/sample_id fields,
   * kNonFiniteFeature records name the offending column,
-  * the "truncated" marker agrees with the counters (truncated iff
-    total > recorded). A truncated log draws a warning: records were
-    dropped at write time, so `enld_cli replay` cannot re-screen them.
+  * the "truncated" marker is present and agrees with the counters
+    (truncated iff total > recorded). A truncated log draws a warning:
+    records were dropped at write time, so `enld_cli replay` cannot
+    re-screen them.
 
 With --expect-nonempty the audit additionally fails when the log holds no
 records — used by CI to prove a drill actually quarantined something.
@@ -106,12 +107,10 @@ def main():
         fail(f"total {total} < recorded {recorded}")
 
     truncated = doc.get("truncated")
-    if truncated is not None and not isinstance(truncated, bool):
-        fail(f"field 'truncated' is not a boolean: {truncated!r}")
+    if not isinstance(truncated, bool):
+        fail(f"field 'truncated' missing or not a boolean: {truncated!r}")
     elif None not in (total, recorded):
-        # Older files predate the marker; when present it must agree with
-        # the counters.
-        if truncated is not None and truncated != (total > recorded):
+        if truncated != (total > recorded):
             fail(f"truncated marker {truncated} disagrees with counters "
                  f"(total {total}, recorded {recorded})")
         if total > recorded:
